@@ -45,7 +45,36 @@ from .errors import (
     NoPreimageError,
     TrivialTreeError,
 )
-from .trees import Label, LabelledPlaneTree, LNode
+from .trees import Label, LabelledPlaneTree, PlaneTree
+
+# The merge and decompose work on forests of nested ``(label, children)``
+# tuples, where ``children`` is a tuple of such nodes.
+_Node = tuple
+
+
+def _to_node(t: LabelledPlaneTree) -> _Node:
+    shape = t.shape
+    nodes: list = [None] * shape.vertex_count
+    for v in reversed(shape.vertices()):  # children before their parent
+        nodes[v] = (t.labels[v], tuple(nodes[c] for c in shape.children_of(v)))
+    return nodes[0]
+
+
+def _from_node(node: _Node) -> LabelledPlaneTree:
+    word: list[str] = []
+    labels: list[Label] = []
+    stack: list[Optional[_Node]] = [node]
+    while stack:
+        item = stack.pop()
+        if item is None:  # every child of the vertex has been written
+            word.append(")")
+            continue
+        label, children = item
+        labels.append(label)
+        word.append("(")
+        stack.append(None)
+        stack.extend(reversed(children))
+    return LabelledPlaneTree(PlaneTree("".join(word)), tuple(labels))
 
 
 class MatchType(enum.Enum):
@@ -188,12 +217,12 @@ class MergeStep(NamedTuple):
     host_root: Label
 
 
-def _has_mark(node: LNode) -> bool:
+def _has_mark(node: _Node) -> bool:
     label, children = node
     return label.marked or any(_has_mark(c) for c in children)
 
 
-def _min_mark(node: LNode) -> Optional[int]:
+def _min_mark(node: _Node) -> Optional[int]:
     label, children = node
     best = label.value if label.marked else None
     for child in children:
@@ -203,7 +232,7 @@ def _min_mark(node: LNode) -> Optional[int]:
     return best
 
 
-def _marks_at_extremes(node: LNode, is_root: bool = True) -> bool:
+def _marks_at_extremes(node: _Node, is_root: bool = True) -> bool:
     # Every marked vertex of a reachable forest tree is its root or a leaf.
     label, children = node
     if label.marked and children and not is_root:
@@ -211,7 +240,7 @@ def _marks_at_extremes(node: LNode, is_root: bool = True) -> bool:
     return all(_marks_at_extremes(c, False) for c in children)
 
 
-def _replace_leaf(node: LNode, value: int, replacement: LNode) -> LNode:
+def _replace_leaf(node: _Node, value: int, replacement: _Node) -> _Node:
     label, children = node
     if label.marked and label.value == value and not children:
         return replacement
@@ -221,10 +250,10 @@ def _replace_leaf(node: LNode, value: int, replacement: LNode) -> LNode:
     )
 
 
-def _merge_states(f: MatchSet) -> Iterator[tuple[list[LNode], Optional[MergeStep]]]:
+def _merge_states(f: MatchSet) -> Iterator[tuple[list[_Node], Optional[MergeStep]]]:
     """Drive the merge, yielding the forest after the initial setup and
     after every step (with the step that produced it)."""
-    forest: list[LNode] = [(m.root, ((m.leaf, ()),)) for m in f.matches]
+    forest: list[_Node] = [(m.root, ((m.leaf, ()),)) for m in f.matches]
     yield list(forest), None
     for _ in range(f.n - 1):
         best = None
@@ -269,12 +298,12 @@ def merge(f: MatchSet, with_trace: bool = False):
     if not report.ok:
         raise InvalidMatchSetError("; ".join(i.message for i in report.issues))
     steps: list[MergeStep] = []
-    forest: list[LNode] = []
+    forest: list[_Node] = []
     for forest, step in _merge_states(f):
         if step is not None:
             steps.append(step)
     assert len(forest) == 1 and not _has_mark(forest[0])
-    result = LabelledPlaneTree.from_node(forest[0])
+    result = _from_node(forest[0])
     if with_trace:
         return result, tuple(steps)
     return result
@@ -292,8 +321,8 @@ def _check_label_domain(t: LabelledPlaneTree) -> int:
     return n
 
 
-def _proper_subtree_paths(node: LNode) -> Iterator[tuple[int, ...]]:
-    stack: list[tuple[LNode, tuple[int, ...]]] = [(node, ())]
+def _proper_subtree_paths(node: _Node) -> Iterator[tuple[int, ...]]:
+    stack: list[tuple[_Node, tuple[int, ...]]] = [(node, ())]
     while stack:
         current, path = stack.pop()
         for idx, child in enumerate(current[1]):
@@ -302,13 +331,13 @@ def _proper_subtree_paths(node: LNode) -> Iterator[tuple[int, ...]]:
             stack.append((child, child_path))
 
 
-def _node_at(node: LNode, path: tuple[int, ...]) -> LNode:
+def _node_at(node: _Node, path: tuple[int, ...]) -> _Node:
     for idx in path:
         node = node[1][idx]
     return node
 
 
-def _replace_at(node: LNode, path: tuple[int, ...], replacement: LNode) -> LNode:
+def _replace_at(node: _Node, path: tuple[int, ...], replacement: _Node) -> _Node:
     if not path:
         return replacement
     label, children = node
@@ -317,7 +346,7 @@ def _replace_at(node: LNode, path: tuple[int, ...], replacement: LNode) -> LNode
     return (label, children[:head] + (new_child,) + children[head + 1 :])
 
 
-def _undo_candidates(forest: list[LNode], mark_value: int) -> Iterator[list[LNode]]:
+def _undo_candidates(forest: list[_Node], mark_value: int) -> Iterator[list[_Node]]:
     """All single-step undos that a forward merge at this mark would redo."""
     has_mark = [_has_mark(t) for t in forest]
     mark_label = Label(mark_value, True)
@@ -355,11 +384,11 @@ def _undo_candidates(forest: list[LNode], mark_value: int) -> Iterator[list[LNod
 
 
 def _preimage_forests(
-    root_node: LNode, n: int, limit: Optional[int]
-) -> list[list[LNode]]:
-    solutions: list[list[LNode]] = []
+    root_node: _Node, n: int, limit: Optional[int]
+) -> list[list[_Node]]:
+    solutions: list[list[_Node]] = []
 
-    def search(forest: list[LNode], mark_value: int) -> bool:
+    def search(forest: list[_Node], mark_value: int) -> bool:
         if mark_value == n + 1:
             solutions.append(forest)
             return limit is not None and len(solutions) >= limit
@@ -372,7 +401,7 @@ def _preimage_forests(
     return solutions
 
 
-def _forest_to_match_set(forest: list[LNode]) -> MatchSet:
+def _forest_to_match_set(forest: list[_Node]) -> MatchSet:
     matches = []
     for tree in forest:
         label, children = tree
@@ -389,7 +418,7 @@ def decompose(t: LabelledPlaneTree) -> MatchSet:
     n = _check_label_domain(t)
     if n == 0:
         raise TrivialTreeError("decomposition needs at least one edge")
-    forests = _preimage_forests(t.node, n, limit=1)
+    forests = _preimage_forests(_to_node(t), n, limit=1)
     if not forests:
         raise NoPreimageError(f"no preimage found for {t.word}")
     result = _forest_to_match_set(forests[0])
@@ -405,5 +434,5 @@ def decompose_all(t: LabelledPlaneTree) -> tuple[MatchSet, ...]:
     n = _check_label_domain(t)
     if n == 0:
         raise TrivialTreeError("decomposition needs at least one edge")
-    forests = _preimage_forests(t.node, n, limit=None)
+    forests = _preimage_forests(_to_node(t), n, limit=None)
     return tuple(_forest_to_match_set(f) for f in forests)

@@ -333,6 +333,9 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: input nests too deeply for this operation", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -17,7 +17,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .leaf_stats import StatsVector, stats
 from .trees import Label, LabelledPlaneTree, PlaneTree, is_tip_augmented
@@ -100,18 +100,20 @@ def gen_labelled_tip_augmented(n: int) -> Iterator[LabelledPlaneTree]:
     permutation order, assigned to vertices in preorder.  Total count is
     ``motzkin(n - 1) * (n + 1)!``.
     """
-    if n < 1:
-        raise ValueError("labelled enumeration needs at least one edge")
-    for shape in gen_tip_augmented(n):
-        for perm in itertools.permutations(range(1, n + 2)):
-            yield LabelledPlaneTree(shape, tuple(Label(v) for v in perm))
+    yield from _labellings(gen_tip_augmented, n)
 
 
 def gen_labelled_plane_trees(n: int) -> Iterator[LabelledPlaneTree]:
     """Every labelling of every n-edge plane tree by {1..n+1}."""
+    yield from _labellings(gen_plane_trees, n)
+
+
+def _labellings(
+    shapes: Callable[[int], Iterator[PlaneTree]], n: int
+) -> Iterator[LabelledPlaneTree]:
     if n < 1:
         raise ValueError("labelled enumeration needs at least one edge")
-    for shape in gen_plane_trees(n):
+    for shape in shapes(n):
         for perm in itertools.permutations(range(1, n + 2)):
             yield LabelledPlaneTree(shape, tuple(Label(v) for v in perm))
 

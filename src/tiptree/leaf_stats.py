@@ -82,14 +82,13 @@ def leaf_category(t: PlaneTree, v: int) -> LeafCategory:
     if not t.is_leaf(v):
         raise NotALeafError(f"vertex {v} is interior")
     siblings = t.children_of(parent)
-    position = siblings.index(v)
     if len(siblings) == 1:
         return LeafCategory.SINGLETON
-    if position == 0:
+    if siblings[0] == v:
         if t.is_leaf(siblings[1]):
             return LeafCategory.ELDER_TWIN
         return LeafCategory.ELDER_NON_TWIN
-    if position == 1:
+    if siblings[1] == v:
         return LeafCategory.SECOND
     return LeafCategory.YOUNGER
 

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import NotTipAugmentedError, TooSmallError
 from .leaf_stats import stats
-from .trees import LabelledPlaneTree, Nested, PlaneTree, is_tip_augmented
+from .trees import LabelledPlaneTree, PlaneTree, is_tip_augmented
 
 
 class TreeClass(enum.Enum):
@@ -68,14 +68,15 @@ class ClassView:
     trailing: tuple[int, ...]
 
 
-def _classify_counts(edge_counts: Sequence[int]) -> tuple[TreeClass, Optional[int]]:
-    """Class and the position of ``u`` from the root children's edge counts."""
-    single_positions = [p for p, e in enumerate(edge_counts) if e == 1]
-    if single_positions and single_positions[-1] >= 2:
-        return TreeClass.B2, single_positions[-1]
-    if single_positions == [1]:
-        return TreeClass.A2, 1
-    if edge_counts[1] == 0:
+def _class_at(t: PlaneTree, r: int, k: int) -> tuple[TreeClass, Optional[int]]:
+    """Class of the tree made of ``r`` and its first ``k`` children, and the
+    position of ``u`` among them."""
+    kids = t.children_of(r)
+    # Only the rightmost singleton-parent matters; the first child is a leaf.
+    for last in range(k - 1, 0, -1):
+        if t.subtree_edges(kids[last]) == 1:
+            return (TreeClass.B2, last) if last >= 2 else (TreeClass.A2, 1)
+    if t.is_leaf(kids[1]):
         return TreeClass.A1, None
     return TreeClass.B1, 1
 
@@ -91,8 +92,7 @@ def classify(t: PlaneTree) -> ClassView:
     if t.edge_count < 2:
         raise TooSmallError("classification needs at least two edges")
     kids = t.children_of(t.root)
-    counts = [t.subtree_edges(c) for c in kids]
-    tree_class, u_pos = _classify_counts(counts)
+    tree_class, u_pos = _class_at(t, t.root, len(kids))
     u = kids[u_pos] if u_pos is not None else None
     v = None
     if tree_class in (TreeClass.A2, TreeClass.B2):
@@ -118,86 +118,86 @@ def classify(t: PlaneTree) -> ClassView:
     )
 
 
-# --- the involution on bare shapes ------------------------------------------
+# --- the involution -------------------------------------------------------------
+#
+# The image is written in preorder by a loop over an explicit stack of
+# operations: (_OPEN, x, p) writes an image vertex whose source is vertex x
+# of the input and which must land at sibling position p or later;
+# (_CLOSE, 0, 0) ends the innermost open image vertex; and (_BODY, r, k)
+# stands for the image's root children of the tree made of r and its first
+# k children.  That image is always rooted at r itself, so the operation
+# writes only the root's children.
 
-def _edges(shape: Nested) -> int:
-    return sum(1 + _edges(child) for child in shape)
+_OPEN, _CLOSE, _BODY = range(3)
 
 
-def _phi_shape(shape: Nested) -> Nested:
-    if _edges(shape) <= 2:
-        return shape
-    counts = [_edges(child) for child in shape]
-    tree_class, u_pos = _classify_counts(counts)
-    if tree_class in (TreeClass.A1, TreeClass.A2):
-        return shape[:2] + tuple(_phi_shape(c) for c in shape[2:])
+def _whole(t: PlaneTree, c: int) -> list[tuple[int, int, int]]:
+    """The operations writing the image of the subtree rooted at ``c``."""
+    if t.is_leaf(c):
+        return [(_OPEN, c, 0), (_CLOSE, 0, 0)]
+    return [(_OPEN, c, 0), (_BODY, c, len(t.children_of(c))), (_CLOSE, 0, 0)]
+
+
+def _body(t: PlaneTree, r: int, k: int) -> list[tuple[int, int, int]]:
+    """One recursion step of the involution as a list of operations."""
+    kids = t.children_of(r)
+    end = kids[k] if k < len(kids) else r + t.subtree_edges(r) + 1
+    # A tree with at most two edges is fixed, and so is every subtree of it,
+    # which is what A1 does with its first two subtrees.
+    small = end - r - 1 <= 2
+    tree_class, u_pos = (TreeClass.A1, None) if small else _class_at(t, r, k)
+    if tree_class == TreeClass.A1:
+        return [op for c in kids[:k] for op in _whole(t, c)]
+    w = kids[0]
+    u = kids[u_pos]
     if tree_class == TreeClass.B1:
-        image = _phi_shape(shape[1])
         # A tip-augmented tree with >= 2 edges has >= 2 root children, so
         # the re-attached singleton-parent lands in position >= 3.
-        assert len(image) >= 2
-        return image + (((),),) + tuple(_phi_shape(c) for c in shape[2:])
-    # B2: undo the B1 construction.
-    image = _phi_shape(shape[:u_pos])
-    return ((), image) + tuple(_phi_shape(c) for c in shape[u_pos + 1 :])
+        head = [(_BODY, u, len(t.children_of(u))), (_OPEN, u, 2)]
+        head += _whole(t, w) + [(_CLOSE, 0, 0)]
+    else:
+        # A2 swaps the leaves w and v; B2 undoes B1.
+        v = t.children_of(u)[0]
+        inner = _whole(t, w) if tree_class == TreeClass.A2 else [(_BODY, r, u_pos)]
+        head = _whole(t, v) + [(_OPEN, u, 0)] + inner + [(_CLOSE, 0, 0)]
+    return head + [op for c in kids[u_pos + 1 : k] for op in _whole(t, c)]
+
+
+def _phi_image(t: PlaneTree) -> tuple[PlaneTree, list[int]]:
+    """``phi(t)`` and, for each of its vertices in preorder, the source vertex."""
+    word: list[str] = []
+    sources: list[int] = []
+    placed = [0]  # children written so far under each open image vertex
+    stack = list(reversed(_whole(t, t.root)))
+    while stack:
+        op, x, p = stack.pop()
+        if op == _OPEN:
+            assert placed[-1] >= p
+            placed[-1] += 1
+            placed.append(0)
+            word.append("(")
+            sources.append(x)
+        elif op == _CLOSE:
+            placed.pop()
+            word.append(")")
+        else:
+            stack.extend(reversed(_body(t, x, p)))
+    # Each input vertex appears once in the image, and the root stays put.
+    assert sources[0] == t.root and len(set(sources)) == len(sources) == t.vertex_count
+    return PlaneTree("".join(word)), sources
 
 
 def phi(t: PlaneTree) -> PlaneTree:
     """Apply the involution to a tip-augmented plane tree."""
     _require_tip_augmented(t)
-    return PlaneTree(_phi_shape(t.nested))
-
-
-# --- the involution with label transport -------------------------------------
-
-def _edges_node(node) -> int:
-    _, children = node
-    return sum(1 + _edges_node(child) for child in children)
-
-
-def _phi_node(node):
-    label, kids = node
-    if _edges_node(node) <= 2:
-        return node
-    counts = [_edges_node(child) for child in kids]
-    tree_class, u_pos = _classify_counts(counts)
-    if tree_class == TreeClass.A1:
-        return (label, kids[:2] + tuple(_phi_node(c) for c in kids[2:]))
-    if tree_class == TreeClass.A2:
-        w_label = kids[0][0]
-        u_label, u_kids = kids[1]
-        v_label = u_kids[0][0]
-        new_kids = (
-            (v_label, ()),
-            (u_label, ((w_label, ()),)),
-        ) + tuple(_phi_node(c) for c in kids[2:])
-        return (label, new_kids)
-    if tree_class == TreeClass.B1:
-        w_label = kids[0][0]
-        image_label, image_kids = _phi_node(kids[1])
-        new_kids = (
-            image_kids
-            + ((image_label, ((w_label, ()),)),)
-            + tuple(_phi_node(c) for c in kids[2:])
-        )
-        return (label, new_kids)
-    # B2
-    u_label, u_kids = kids[u_pos]
-    v_label = u_kids[0][0]
-    image_label, image_kids = _phi_node((label, kids[:u_pos]))
-    assert image_label == label
-    new_kids = (
-        ((v_label, ()),)
-        + ((u_label, image_kids),)
-        + tuple(_phi_node(c) for c in kids[u_pos + 1 :])
-    )
-    return (label, new_kids)
+    return _phi_image(t)[0]
 
 
 def phi_with_correspondence(t: LabelledPlaneTree) -> LabelledPlaneTree:
     """Apply the involution while transporting every vertex's label."""
     _require_tip_augmented(t.shape)
-    result = LabelledPlaneTree.from_node(_phi_node(t.node))
+    image, sources = _phi_image(t.shape)
+    result = LabelledPlaneTree(image, tuple(t.labels[s] for s in sources))
     assert sorted(lab.value for lab in result.labels) == sorted(
         lab.value for lab in t.labels
     )
@@ -240,8 +240,8 @@ def check_prop1(t: PlaneTree) -> Prop1Report:
     direct = stats(t)
     parts: list[PlaneTree] = []
     if view.tree_class == TreeClass.B2:
-        block = tuple(t.subtree(c).nested for c in view.left_block)
-        parts.append(PlaneTree(block))
+        block = "".join(t.subtree(c).word for c in view.left_block)
+        parts.append(PlaneTree("(" + block + ")"))
     elif view.tree_class == TreeClass.B1:
         parts.append(t.subtree(view.second_child))
     parts.extend(t.subtree(c) for c in view.trailing)

@@ -13,7 +13,9 @@ marked labels render with a trailing asterisk (``"5*"``).
 
 Vertex identifiers are assigned in depth-first preorder at construction
 time (the root is always ``0``), which keeps correspondence reporting
-deterministic across parse / serialize round trips.
+deterministic across parse / serialize round trips.  A tree is stored as
+preorder arrays (child lists, parents and subtree sizes) built by one
+iterative pass over its word, so arbitrarily deep trees need no recursion.
 
 A plane tree is *tip-augmented* when the leftmost child of every interior
 vertex is a leaf; the single vertex counts as tip-augmented.  All values in
@@ -24,7 +26,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .errors import (
     DuplicateLabelError,
@@ -33,12 +35,6 @@ from .errors import (
     LabelSyntaxError,
     UnbalancedParensError,
 )
-
-# A shape is a nested tuple: every vertex is the tuple of its child shapes.
-Nested = tuple
-
-# A labelled node is (label, tuple of labelled child nodes).
-LNode = tuple
 
 
 @dataclass(frozen=True)
@@ -58,41 +54,57 @@ class Label:
 class PlaneTree:
     """An immutable plane tree with preorder vertex identifiers."""
 
-    __slots__ = ("_nested", "_word", "_children", "_parents", "_subtrees")
+    __slots__ = ("_word", "_children", "_parents", "_sizes")
 
-    def __init__(self, nested: Nested):
-        _check_nested(nested)
-        self._nested = nested
-        children: list[tuple[int, ...]] = []
+    def __init__(self, word: str):
+        """Build the tree of a balanced-parenthesis word (no whitespace)."""
+        if not isinstance(word, str):
+            raise TypeError(f"a tree word must be a str, got {type(word).__name__}")
+        if not word:
+            raise EmptyInputError("no tree in input")
+        bad = set(word) - {"(", ")"}
+        if bad:
+            raise IllegalCharacterError(f"unexpected character {sorted(bad)[0]!r}")
+        children: list[list[int]] = []
         parents: list[Optional[int]] = []
-        subtrees: list[Nested] = []
-
-        def walk(node: Nested, parent: Optional[int]) -> int:
-            vid = len(parents)
-            parents.append(parent)
-            children.append(())
-            subtrees.append(node)
-            children[vid] = tuple(walk(child, vid) for child in node)
-            return vid
-
-        walk(nested, None)
-        self._children = tuple(children)
+        sizes: list[int] = []
+        open_: list[int] = []
+        roots = 0
+        for ch in word:
+            if ch == "(":
+                v = len(parents)
+                if open_:
+                    parent = open_[-1]
+                    children[parent].append(v)
+                    parents.append(parent)
+                else:
+                    roots += 1
+                    parents.append(None)
+                children.append([])
+                sizes.append(0)
+                open_.append(v)
+            else:
+                if not open_:
+                    raise UnbalancedParensError("unmatched ')'")
+                v = open_.pop()
+                sizes[v] = len(parents) - v
+        if open_:
+            raise UnbalancedParensError("unmatched '('")
+        if roots != 1:
+            raise UnbalancedParensError("input is not a single tree")
+        self._word = word
+        self._children = tuple(map(tuple, children))
         self._parents = tuple(parents)
-        self._subtrees = tuple(subtrees)
-        self._word = _word_of(nested)
+        self._sizes = tuple(sizes)
 
     # --- construction -------------------------------------------------------
 
     @classmethod
     def parse(cls, text: str) -> "PlaneTree":
         """Parse a balanced-parenthesis word (whitespace is insignificant)."""
-        return cls(_parse_word(text))
+        return cls("".join(text.split()))
 
     # --- basic views ---------------------------------------------------------
-
-    @property
-    def nested(self) -> Nested:
-        return self._nested
 
     @property
     def word(self) -> str:
@@ -125,11 +137,19 @@ class PlaneTree:
 
     def subtree(self, v: int) -> "PlaneTree":
         """The plane tree rooted at vertex ``v``."""
-        return PlaneTree(self._subtrees[v])
+        # v's "(" comes after the "(" of the v earlier vertices and the ")"
+        # of each of those that is not an ancestor of v.
+        depth = 0
+        u = self._parents[v]
+        while u is not None:
+            depth += 1
+            u = self._parents[u]
+        start = 2 * v - depth
+        return PlaneTree(self._word[start : start + 2 * self._sizes[v]])
 
     def subtree_edges(self, v: int) -> int:
         """Edge count of the subtree rooted at ``v``."""
-        return len(_word_of(self._subtrees[v])) // 2 - 1
+        return self._sizes[v] - 1
 
     def leaves(self) -> Iterator[int]:
         return (v for v in self.vertices() if not self._children[v])
@@ -176,20 +196,10 @@ class LabelledPlaneTree:
     @classmethod
     def parse(cls, text: str) -> "LabelledPlaneTree":
         """Parse the label-prefixed grammar, e.g. ``"1(2,3(4))"``."""
-        node = _parse_labelled(text)
-        return cls.from_node(node)
-
-    @classmethod
-    def from_node(cls, node: LNode) -> "LabelledPlaneTree":
-        shape_nested, labels = _flatten_node(node)
-        return cls(PlaneTree(shape_nested), labels)
+        word, labels = _parse_labelled(text)
+        return cls(PlaneTree(word), labels)
 
     # --- views ---------------------------------------------------------------
-
-    @property
-    def node(self) -> LNode:
-        """The tree as nested ``(label, children)`` tuples."""
-        return _build_node(self.shape, self.labels, self.shape.root)
 
     def label_of(self, v: int) -> Label:
         return self.labels[v]
@@ -200,7 +210,23 @@ class LabelledPlaneTree:
     @property
     def word(self) -> str:
         """The canonical labelled encoding."""
-        return _word_of_node(self.node)
+        # Walk the shape word: a "(" after "(" opens a child list, a "("
+        # after ")" starts the next sibling, and a ")" after ")" closes a
+        # child list; a ")" after "(" ends a leaf and writes nothing.
+        out: list[str] = []
+        labels = iter(self.labels)
+        prev = ""
+        for ch in self.shape.word:
+            if ch == "(":
+                if prev == "(":
+                    out.append("(")
+                elif prev == ")":
+                    out.append(",")
+                out.append(str(next(labels)))
+            elif prev == ")":
+                out.append(")")
+            prev = ch
+        return "".join(out)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -256,48 +282,16 @@ def is_tip_augmented(t: PlaneTree) -> bool:
 
 # --- internal helpers ----------------------------------------------------------
 
-def _check_nested(node: object) -> None:
-    if not isinstance(node, tuple):
-        raise TypeError(f"shape nodes must be tuples, got {type(node).__name__}")
-    for child in node:
-        _check_nested(child)
-
-
-def _word_of(node: Nested) -> str:
-    return "(" + "".join(_word_of(child) for child in node) + ")"
-
-
-def _parse_word(text: str) -> Nested:
-    stripped = "".join(text.split())
-    if not stripped:
-        raise EmptyInputError("no tree in input")
-    bad = set(stripped) - {"(", ")"}
-    if bad:
-        raise IllegalCharacterError(f"unexpected character {sorted(bad)[0]!r}")
-    stack: list[list[Nested]] = [[]]
-    for ch in stripped:
-        if ch == "(":
-            stack.append([])
-        else:
-            if len(stack) == 1:
-                raise UnbalancedParensError("unmatched ')'")
-            done = tuple(stack.pop())
-            stack[-1].append(done)
-    if len(stack) != 1:
-        raise UnbalancedParensError("unmatched '('")
-    if len(stack[0]) != 1:
-        raise UnbalancedParensError("input is not a single tree")
-    return stack[0][0]
-
-
-def _parse_labelled(text: str) -> LNode:
+def _parse_labelled(text: str) -> tuple[str, tuple[Label, ...]]:
+    """The shape word and the preorder labels of a labelled-tree text."""
     s = "".join(text.split())
     if not s:
         raise EmptyInputError("no tree in input")
     pos = 0
-
-    def parse_label() -> Label:
-        nonlocal pos
+    depth = 0  # child lists opened and not yet closed
+    word: list[str] = []
+    labels: list[Label] = []
+    while True:
         start = pos
         while pos < len(s) and s[pos].isdigit():
             pos += 1
@@ -310,53 +304,23 @@ def _parse_labelled(text: str) -> LNode:
         if pos < len(s) and s[pos] == "*":
             marked = True
             pos += 1
-        return Label(value, marked)
-
-    def parse_node() -> LNode:
-        nonlocal pos
-        label = parse_label()
-        children: list[LNode] = []
+        labels.append(Label(value, marked))
+        word.append("(")
         if pos < len(s) and s[pos] == "(":
             pos += 1
-            children.append(parse_node())
-            while pos < len(s) and s[pos] == ",":
-                pos += 1
-                children.append(parse_node())
+            depth += 1
+            continue
+        # The vertex is a leaf: close it and every child list it ends.
+        word.append(")")
+        while depth and not (pos < len(s) and s[pos] == ","):
             if pos >= len(s) or s[pos] != ")":
                 raise LabelSyntaxError(f"expected ')' at position {pos}")
             pos += 1
-        return (label, tuple(children))
-
-    node = parse_node()
+            depth -= 1
+            word.append(")")
+        if not depth:
+            break
+        pos += 1  # the comma before the next sibling
     if pos != len(s):
         raise LabelSyntaxError(f"trailing input at position {pos}")
-    return node
-
-
-def _flatten_node(node: LNode) -> tuple[Nested, tuple[Label, ...]]:
-    labels: list[Label] = []
-
-    def walk(n: LNode) -> Nested:
-        label, children = n
-        labels.append(label)
-        return tuple(walk(child) for child in children)
-
-    nested = walk(node)
-    return nested, tuple(labels)
-
-
-def _build_node(shape: PlaneTree, labels: tuple[Label, ...], v: int) -> LNode:
-    return (
-        labels[v],
-        tuple(_build_node(shape, labels, c) for c in shape.children_of(v)),
-    )
-
-
-def _word_of_node(node: LNode) -> str:
-    label, children = node
-    if not children:
-        return str(label)
-    return str(label) + "(" + ",".join(_word_of_node(c) for c in children) + ")"
-
-
-TreeLike = Union[PlaneTree, LabelledPlaneTree]
+    return "".join(word), tuple(labels)

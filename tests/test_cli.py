@@ -132,6 +132,15 @@ class TestPsiAndChen:
         assert "horizontal at 5*" in lines[0]
         assert "vertical at 6*" in lines[1]
 
+    def test_too_deep_exit_1(self, capsys):
+        # These 1,500 matches merge to the chain 1(2(3(...))), deeper than
+        # the merge's recursive helpers can follow.
+        matches = [f"{i}:{3001 - i}*" for i in range(1, 1500)] + ["1500:1501"]
+        code, out, err = run(capsys, "merge", "--matches", ",".join(matches))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_invalid_matches_exit_1(self, capsys):
         code, _, err = run(capsys, "merge", "--matches", "1:2,3:4,7*:6*")
         assert code == 1

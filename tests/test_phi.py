@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -228,3 +230,26 @@ def test_phi_property(word):
     assert phi(image) == t
     if t.edge_count >= 2:
         assert stats(image) == stats(t).swapped()
+
+
+# sha256 over the images of every tip-augmented shape with 2..11 edges (3,561
+# shapes) in gen_tip_augmented order, each image word followed by "\n".  For
+# the labelled digest every shape is labelled 1..N in preorder.  Recorded from
+# the earlier recursive implementation of phi, which kept one copy for shapes
+# and one for labelled trees.
+PHI_DIGEST = "f954c5b93a5f93363e8dac76936cc927b9ee294cd744cde061f3963f9768833b"
+TRANSPORT_DIGEST = "d85f84276b5d6a066e25bc74517a7254bfb7d96e609536527a3f5c888ad35cf1"
+
+
+def test_golden_digests():
+    shapes, labelled = hashlib.sha256(), hashlib.sha256()
+    count = 0
+    for n in range(2, 12):
+        for t in gen_tip_augmented(n):
+            lt = LabelledPlaneTree(t, tuple(Label(v + 1) for v in t.vertices()))
+            shapes.update((phi(t).word + "\n").encode())
+            labelled.update((phi_with_correspondence(lt).word + "\n").encode())
+            count += 1
+    assert count == 3561
+    assert shapes.hexdigest() == PHI_DIGEST
+    assert labelled.hexdigest() == TRANSPORT_DIGEST

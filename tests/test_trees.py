@@ -2,17 +2,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tiptree import (
+    Label,
     LabelledPlaneTree,
     PlaneTree,
+    StatsVector,
+    TreeClass,
+    classify,
     gen_plane_trees,
     gen_tip_augmented,
     is_tip_augmented,
     parse_labelled,
     parse_tree,
+    phi,
+    phi_with_correspondence,
     render_dot,
     serialize_labelled,
     serialize_tree,
+    stats,
 )
+from tiptree.chen import _from_node, _to_node
 from tiptree.errors import (
     DuplicateLabelError,
     EmptyInputError,
@@ -67,7 +75,7 @@ class TestSerializeTree:
         assert serialize_tree(parse_tree("()")) == "()"
 
     def test_nested_example(self):
-        t = PlaneTree(((), ((), ())))  # root(leaf, u(leaf, leaf))
+        t = PlaneTree("(()(()()))")  # root(leaf, u(leaf, leaf))
         assert serialize_tree(t) == "(()(()()))"
 
     @given(st.sampled_from([None]))
@@ -135,7 +143,7 @@ class TestLabelled:
 
     def test_node_round_trip(self):
         t = parse_labelled("1(2,3(4))")
-        assert LabelledPlaneTree.from_node(t.node) == t
+        assert _from_node(_to_node(t)) == t
 
 
 @st.composite
@@ -152,12 +160,47 @@ def test_parse_serialize_inverse(word):
 
 @given(random_shapes(max_edges=6), st.permutations(list(range(1, 20))))
 def test_labelled_round_trip(word, values):
-    from tiptree import Label
-
     shape = parse_tree(word)
     labels = tuple(Label(v) for v in values[: shape.vertex_count])
     t = LabelledPlaneTree(shape, labels)
     assert parse_labelled(serialize_labelled(t)) == t
+
+
+DEEP_EDGES = 10**5
+DEEP_LEVELS = DEEP_EDGES // 2
+
+
+@pytest.mark.parametrize(
+    "word, vector, tree_class",
+    [
+        # the chain (()(()(...(()())))): a leaf and the next level per level
+        (
+            "(" + "()(" * (DEEP_LEVELS - 1) + "()()" + ")" * DEEP_LEVELS,
+            StatsVector(0, 1, DEEP_LEVELS - 1, 0, 1),
+            TreeClass.B1,
+        ),
+        # the star (()()...()): one root with 10^5 leaves
+        ("(" + "()" * DEEP_EDGES + ")", StatsVector(0, 1, 0, DEEP_EDGES - 2, 1), TreeClass.A1),
+    ],
+    ids=["chain", "star"],
+)
+def test_deep_inputs(word, vector, tree_class):
+    t = parse_tree(word)
+    assert t.edge_count == DEEP_EDGES
+    assert serialize_tree(t) == word
+    assert stats(t) == vector
+    assert classify(t).tree_class is tree_class
+    image = phi(t)
+    assert stats(image) == vector.swapped()
+    assert phi(image) == t
+    lt = LabelledPlaneTree(t, tuple(Label(v + 1) for v in t.vertices()))
+    moved = phi_with_correspondence(lt)
+    assert moved.shape == image
+    assert phi_with_correspondence(moved) == lt
+    text = serialize_labelled(lt)
+    back = parse_labelled(text)
+    assert back == lt
+    assert serialize_labelled(back) == text
 
 
 class TestRenderDot:
