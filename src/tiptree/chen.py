@@ -16,14 +16,16 @@ Each step consumes one marked vertex, so n matches merge in n - 1 steps,
 and a forest of m trees always carries exactly m - 1 marks, which
 guarantees by pigeonhole that a fully unmarked tree exists at every step.
 
-The merge is a bijection; ``decompose`` inverts it by undoing marks from
-2n down to n+2 with backtracking.  An undo step splits one forest tree
-into the (T, T*) pair a merge step would have combined, and a split is
-only admissible when T is fully unmarked and has the minimum root value
-among the fully unmarked trees of the resulting forest.  Greedy undoing is
-not sound: locally plausible splits can strand the search, so dead ends
-backtrack.  The found preimage is re-merged and compared against the input
-before it is returned.
+Marks are consumed in ascending order, so step s uses mark n+1+s, and a
+marked root only ever holds its own match leaf.  Every step is therefore
+forced by the merged tree: the tree with the smallest fully unmarked root r
+either gives r its next child (horizontal) or, once r holds all of its
+children, hangs r's finished subtree in its slot (vertical), after which r
+never gains a child again.  ``decompose`` replays the merge this way in one
+heap-driven pass, with no search and no recursion, and reads the matches
+off the replay; the preimage is re-merged and compared against the input
+before it is returned.  ``decompose_all`` is the brute-force reference that
+merges every match set over the label universe.
 
 Match types are read off the marked flags: type i has both vertices
 unmarked, type ii a marked root, type iii a marked leaf, type iv both
@@ -35,8 +37,10 @@ roots to young interior vertices of the merged tree (root excluded).
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from itertools import combinations, permutations
+from typing import NamedTuple, Optional
 
 from .errors import (
     BadLabelDomainError,
@@ -46,35 +50,6 @@ from .errors import (
     TrivialTreeError,
 )
 from .trees import Label, LabelledPlaneTree, PlaneTree
-
-# The merge and decompose work on forests of nested ``(label, children)``
-# tuples, where ``children`` is a tuple of such nodes.
-_Node = tuple
-
-
-def _to_node(t: LabelledPlaneTree) -> _Node:
-    shape = t.shape
-    nodes: list = [None] * shape.vertex_count
-    for v in reversed(shape.vertices()):  # children before their parent
-        nodes[v] = (t.labels[v], tuple(nodes[c] for c in shape.children_of(v)))
-    return nodes[0]
-
-
-def _from_node(node: _Node) -> LabelledPlaneTree:
-    word: list[str] = []
-    labels: list[Label] = []
-    stack: list[Optional[_Node]] = [node]
-    while stack:
-        item = stack.pop()
-        if item is None:  # every child of the vertex has been written
-            word.append(")")
-            continue
-        label, children = item
-        labels.append(label)
-        word.append("(")
-        stack.append(None)
-        stack.extend(reversed(children))
-    return LabelledPlaneTree(PlaneTree("".join(word)), tuple(labels))
 
 
 class MatchType(enum.Enum):
@@ -217,76 +192,6 @@ class MergeStep(NamedTuple):
     host_root: Label
 
 
-def _has_mark(node: _Node) -> bool:
-    label, children = node
-    return label.marked or any(_has_mark(c) for c in children)
-
-
-def _min_mark(node: _Node) -> Optional[int]:
-    label, children = node
-    best = label.value if label.marked else None
-    for child in children:
-        sub = _min_mark(child)
-        if sub is not None and (best is None or sub < best):
-            best = sub
-    return best
-
-
-def _marks_at_extremes(node: _Node, is_root: bool = True) -> bool:
-    # Every marked vertex of a reachable forest tree is its root or a leaf.
-    label, children = node
-    if label.marked and children and not is_root:
-        return False
-    return all(_marks_at_extremes(c, False) for c in children)
-
-
-def _replace_leaf(node: _Node, value: int, replacement: _Node) -> _Node:
-    label, children = node
-    if label.marked and label.value == value and not children:
-        return replacement
-    return (
-        label,
-        tuple(_replace_leaf(c, value, replacement) for c in children),
-    )
-
-
-def _merge_states(f: MatchSet) -> Iterator[tuple[list[_Node], Optional[MergeStep]]]:
-    """Drive the merge, yielding the forest after the initial setup and
-    after every step (with the step that produced it)."""
-    forest: list[_Node] = [(m.root, ((m.leaf, ()),)) for m in f.matches]
-    yield list(forest), None
-    for _ in range(f.n - 1):
-        best = None
-        for idx, tree in enumerate(forest):
-            if not _has_mark(tree):
-                if best is None or tree[0].value < forest[best][0].value:
-                    best = idx
-        assert best is not None, "pigeonhole: a fully unmarked tree always exists"
-        host = None
-        host_min = None
-        for idx, tree in enumerate(forest):
-            sub = _min_mark(tree)
-            if sub is not None and (host_min is None or sub < host_min):
-                host, host_min = idx, sub
-        assert host is not None and host != best
-        tree = forest[best]
-        host_tree = forest[host]
-        if host_tree[0].marked and host_tree[0].value == host_min:
-            merged = (tree[0], tree[1] + host_tree[1])
-            kind = "horizontal"
-        else:
-            merged = _replace_leaf(host_tree, host_min, tree)
-            kind = "vertical"
-        assert _marks_at_extremes(merged)
-        step = MergeStep(host_min, kind, tree[0], host_tree[0])
-        forest = [
-            merged if idx == host else t
-            for idx, t in enumerate(forest)
-            if idx != best
-        ]
-        yield list(forest), step
-
-
 def merge(f: MatchSet, with_trace: bool = False):
     """Merge a valid match set into its labelled plane tree.
 
@@ -297,13 +202,62 @@ def merge(f: MatchSet, with_trace: bool = False):
     report = validate_match_set(f)
     if not report.ok:
         raise InvalidMatchSetError("; ".join(i.message for i in report.issues))
+    # A valid set uses each value 1..2n exactly once, so the forest is
+    # indexed by label value: labels, child lists, parents, each vertex's
+    # position in its parent's list, and each tree's mark count, kept at its
+    # root.  Hung trees carry no marks, so a marked vertex is a root or a
+    # child of its tree's root.
+    n = f.n
+    size = 2 * n + 1
+    label: list[Label] = [Label(0)] * size
+    children: list[list[int]] = [[] for _ in range(size)]
+    parent: list[Optional[int]] = [None] * size
+    position = [0] * size
+    marks = [0] * size
+    for m in f.matches:
+        label[m.root.value], label[m.leaf.value] = m.root, m.leaf
+        children[m.root.value].append(m.leaf.value)
+        parent[m.leaf.value] = m.root.value
+        marks[m.root.value] = m.root.marked + m.leaf.marked
+    free = [v for v in range(1, n + 2) if parent[v] is None and not marks[v]]
+    heapq.heapify(free)  # roots of the fully unmarked trees
     steps: list[MergeStep] = []
-    forest: list[_Node] = []
-    for forest, step in _merge_states(f):
-        if step is not None:
-            steps.append(step)
-    assert len(forest) == 1 and not _has_mark(forest[0])
-    result = _from_node(forest[0])
+    for mark in range(n + 2, 2 * n + 1):
+        assert free, "pigeonhole: a fully unmarked tree always exists"
+        r = heapq.heappop(free)
+        if parent[mark] is None:
+            # A marked root holds only its match leaf, which moves to r.
+            assert not label[r].marked, "the vertex gaining a child is unmarked"
+            (child,) = children[mark]
+            position[child] = len(children[r])
+            children[r].append(child)
+            parent[child] = host = r
+            marks[r] = marks[mark] - 1
+            steps.append(MergeStep(mark, "horizontal", label[r], label[mark]))
+        else:
+            host = parent[mark]
+            assert not children[mark], "the replaced leaf has no children"
+            assert parent[host] is None, "a marked leaf hangs from its tree's root"
+            children[host][position[mark]] = r
+            parent[r], position[r] = host, position[mark]
+            marks[host] -= 1
+            steps.append(MergeStep(mark, "vertical", label[r], label[host]))
+        if not marks[host]:
+            heapq.heappush(free, host)
+    assert len(free) == 1
+    word: list[str] = []
+    labels: list[Label] = []
+    stack = [free[0]]
+    while stack:
+        v = stack.pop()
+        if v == 0:  # every child of the last opened vertex has been written
+            word.append(")")
+            continue
+        word.append("(")
+        labels.append(label[v])
+        stack.append(0)
+        stack.extend(reversed(children[v]))
+    result = LabelledPlaneTree(PlaneTree("".join(word)), tuple(labels))
     if with_trace:
         return result, tuple(steps)
     return result
@@ -321,118 +275,75 @@ def _check_label_domain(t: LabelledPlaneTree) -> int:
     return n
 
 
-def _proper_subtree_paths(node: _Node) -> Iterator[tuple[int, ...]]:
-    stack: list[tuple[_Node, tuple[int, ...]]] = [(node, ())]
-    while stack:
-        current, path = stack.pop()
-        for idx, child in enumerate(current[1]):
-            child_path = path + (idx,)
-            yield child_path
-            stack.append((child, child_path))
-
-
-def _node_at(node: _Node, path: tuple[int, ...]) -> _Node:
-    for idx in path:
-        node = node[1][idx]
-    return node
-
-
-def _replace_at(node: _Node, path: tuple[int, ...], replacement: _Node) -> _Node:
-    if not path:
-        return replacement
-    label, children = node
-    head = path[0]
-    new_child = _replace_at(children[head], path[1:], replacement)
-    return (label, children[:head] + (new_child,) + children[head + 1 :])
-
-
-def _undo_candidates(forest: list[_Node], mark_value: int) -> Iterator[list[_Node]]:
-    """All single-step undos that a forward merge at this mark would redo."""
-    has_mark = [_has_mark(t) for t in forest]
-    mark_label = Label(mark_value, True)
-    for ri, tree in enumerate(forest):
-        bound = min(
-            (forest[j][0].value for j in range(len(forest)) if j != ri and not has_mark[j]),
-            default=None,
-        )
-        root_label, kids = tree
-        # Horizontal undo: cut the child list of an unmarked-rooted tree.
-        # Both sides stay non-empty because every forest tree has >= 2
-        # vertices at every stage of a merge.
-        if not root_label.marked and len(kids) >= 2 and (
-            bound is None or root_label.value < bound
-        ):
-            kid_marked = [_has_mark(c) for c in kids]
-            prefix_clean = True
-            for cut in range(1, len(kids)):
-                prefix_clean = prefix_clean and not kid_marked[cut - 1]
-                if not prefix_clean:
-                    break
-                head = (root_label, kids[:cut])
-                tail = (mark_label, kids[cut:])
-                yield forest[:ri] + [head, tail] + forest[ri + 1 :]
-        # Vertical undo: excise a fully unmarked proper subtree with >= 2
-        # vertices and leave the fresh marked leaf in its place.
-        for path in _proper_subtree_paths(tree):
-            sub = _node_at(tree, path)
-            if not sub[1] or _has_mark(sub):
-                continue
-            if bound is not None and sub[0].value > bound:
-                continue
-            remainder = _replace_at(tree, path, (mark_label, ()))
-            yield forest[:ri] + [sub, remainder] + forest[ri + 1 :]
-
-
-def _preimage_forests(
-    root_node: _Node, n: int, limit: Optional[int]
-) -> list[list[_Node]]:
-    solutions: list[list[_Node]] = []
-
-    def search(forest: list[_Node], mark_value: int) -> bool:
-        if mark_value == n + 1:
-            solutions.append(forest)
-            return limit is not None and len(solutions) >= limit
-        for candidate in _undo_candidates(forest, mark_value):
-            if search(candidate, mark_value - 1):
-                return True
-        return False
-
-    search([root_node], 2 * n)
-    return solutions
-
-
-def _forest_to_match_set(forest: list[_Node]) -> MatchSet:
-    matches = []
-    for tree in forest:
-        label, children = tree
-        assert len(children) == 1 and not children[0][1]
-        matches.append(Match(label, children[0][0]))
-    return MatchSet.from_matches(matches)
-
-
 def decompose(t: LabelledPlaneTree) -> MatchSet:
     """The unique match set that merges back into ``t``.
 
-    ``t`` must carry the labels {1..n+1}, unmarked, with n >= 1.
+    ``t`` must carry the labels {1..n+1}, unmarked, with n >= 1.  The merge
+    is replayed on ``t``'s vertices: each interior vertex starts out holding
+    its first child and is ready once every interior child it holds has had
+    its subtree placed.  Mark m goes to the smallest ready vertex r: r takes
+    its next child if it has one (the child's *upper* mark), and otherwise
+    r's subtree is placed in its slot (r's *lower* mark).
     """
     n = _check_label_domain(t)
     if n == 0:
         raise TrivialTreeError("decomposition needs at least one edge")
-    forests = _preimage_forests(_to_node(t), n, limit=1)
-    if not forests:
-        raise NoPreimageError(f"no preimage found for {t.word}")
-    result = _forest_to_match_set(forests[0])
+    shape = t.shape
+    kids = [shape.children_of(v) for v in shape.vertices()]
+    value = [lab.value for lab in t.labels]
+    held = [1] * len(kids)  # how many children each vertex holds
+    waiting = [1 if k and kids[k[0]] else 0 for k in kids]  # held, not placed
+    upper = [0] * len(kids)
+    lower = [0] * len(kids)
+    ready = [(value[v], v) for v, k in enumerate(kids) if k and not waiting[v]]
+    heapq.heapify(ready)
+    for mark in range(n + 2, 2 * n + 1):
+        if not ready:
+            raise NoPreimageError(f"no preimage found for {t.word}")
+        _, r = heapq.heappop(ready)
+        if held[r] < len(kids[r]):  # horizontal
+            y = kids[r][held[r]]
+            held[r] += 1
+            upper[y] = mark
+            if kids[y] and not lower[y]:
+                waiting[r] += 1
+            else:
+                heapq.heappush(ready, (value[r], r))
+        else:  # vertical
+            lower[r] = mark
+            p = shape.parent_of(r)
+            if r == kids[p][0] or upper[r]:  # p already holds r
+                waiting[p] -= 1
+                if not waiting[p]:
+                    heapq.heappush(ready, (value[p], p))
+    matches = []
+    for c in range(1, len(kids)):
+        p = shape.parent_of(c)
+        root = t.labels[p] if c == kids[p][0] else Label(upper[c], True)
+        leaf = Label(lower[c], True) if kids[c] else t.labels[c]
+        matches.append(Match(root, leaf))
+    result = MatchSet.from_matches(matches)
     assert merge(result) == t
     return result
 
 
 def decompose_all(t: LabelledPlaneTree) -> tuple[MatchSet, ...]:
-    """Run the backtracking search to exhaustion; the result has length one.
+    """Every match set over {1..n+1, (n+2)*..(2n)*} whose merge is ``t``.
 
-    Exposed so test suites can verify preimage uniqueness directly.
+    The brute-force reference for :func:`decompose`, with which it shares
+    no code.  It merges all (2n)!/n! match sets (120 at n=3, 1,680 at n=4),
+    so every caller keeps to n <= 3.  The result has length one.
     """
     n = _check_label_domain(t)
     if n == 0:
         raise TrivialTreeError("decomposition needs at least one edge")
-    forests = _preimage_forests(_to_node(t), n, limit=None)
-    return tuple(_forest_to_match_set(f) for f in forests)
+    universe = [Label(v) for v in range(1, n + 2)]
+    universe += [Label(v, True) for v in range(n + 2, 2 * n + 1)]
+    found = []
+    for roots in combinations(universe, n):
+        rest = [lab for lab in universe if lab not in roots]
+        for leaves in permutations(rest):
+            f = MatchSet.from_matches(map(Match, roots, leaves))
+            if merge(f) == t:
+                found.append(f)
+    return tuple(found)

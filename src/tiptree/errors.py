@@ -62,7 +62,7 @@ class BadLabelDomainError(TipTreeError):
 
 
 class NoPreimageError(TipTreeError):
-    """The decomposition search exhausted without a preimage.
+    """The decomposition replay found no vertex ready for the next mark.
 
     Every labelled plane tree on {1..n+1} has exactly one preimage, so this
     error always signals an implementation bug rather than bad input.

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,11 +19,11 @@ from tiptree import (
     merge,
     parse_labelled,
     parse_matches,
+    parse_tree,
     serialize_matches,
     stats,
     validate_match_set,
 )
-from tiptree.chen import _merge_states
 from tiptree.errors import BadLabelDomainError, InvalidMatchSetError
 
 from helpers import (
@@ -108,16 +111,12 @@ class TestMerge:
         assert steps[0].host_root == Label(5, True)
 
     def test_marked_vertices_stay_at_extremes(self):
-        # In every intermediate forest a marked vertex is a root or a leaf.
-        for f in all_match_sets(3):
-            for forest, _ in _merge_states(f):
-                for tree in forest:
-                    stack = [(tree, True)]
-                    while stack:
-                        (label, children), is_root = stack.pop()
-                        if label.marked and children:
-                            assert is_root
-                        stack.extend((c, False) for c in children)
+        # merge asserts at every step that the vertex gaining a child is
+        # unmarked and that the marked leaf it replaces has no children and
+        # hangs from its tree's root.
+        for n in range(1, 5):
+            for f in all_match_sets(n):
+                merge(f)
 
 
 class TestDecompose:
@@ -206,14 +205,67 @@ class TestCensusIdentity:
                 assert counts[MatchType.IV] == census.young_interior
 
 
+# the chain 1(2(3(...))) and the star 1(2,3,...) with 20,000 edges, labelled
+# by a seeded random permutation of 1..20,001
+DEEP_EDGES = 20_000
+
+
+@pytest.mark.parametrize(
+    "word",
+    ["(" * (DEEP_EDGES + 1) + ")" * (DEEP_EDGES + 1), "(" + "()" * DEEP_EDGES + ")"],
+    ids=["chain", "star"],
+)
+def test_deep_round_trip(word):
+    values = list(range(1, DEEP_EDGES + 2))
+    random.Random(0).shuffle(values)
+    t = LabelledPlaneTree(parse_tree(word), tuple(Label(v) for v in values))
+    f = decompose(t)
+    assert merge(f) == t
+    assert decompose(merge(f)) == f
+
+
+# sha256 digests recorded from the earlier backtracking decompose and the
+# merge that rescanned its whole forest at every step.  Decompose: one line
+# per labelled plane tree with 1..5 edges (32,054 trees) in generator order,
+# its serialised match set.  Merge: one line per match set of
+# helpers.all_match_sets(n), n = 1..4 (1,814 sets), the merged tree's word
+# and every step of its trace.
+DECOMPOSE_DIGEST = "d0124a20a3ebde8e2a3578a64007d81e0aa4e79964d38f17dfba5ddf3965d987"
+MERGE_DIGEST = "3c7ebbfc8100c71cd93de9d3861a8fba6915b676de2a319004c27780e28294a3"
+
+
+def test_decompose_golden_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 6):
+        for t in gen_labelled_plane_trees(n):
+            digest.update((serialize_matches(decompose(t)) + "\n").encode())
+            count += 1
+    assert count == 32054
+    assert digest.hexdigest() == DECOMPOSE_DIGEST
+
+
+def test_merge_golden_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 5):
+        for f in all_match_sets(n):
+            tree, steps = merge(f, with_trace=True)
+            trace = ";".join(
+                f"{s.mark}{s.kind[0]}{s.tree_root}/{s.host_root}" for s in steps
+            )
+            digest.update(f"{tree.word} {trace}\n".encode())
+            count += 1
+    assert count == 1814
+    assert digest.hexdigest() == MERGE_DIGEST
+
+
 @st.composite
 def labelled_plane_trees(draw, max_edges=4):
     n = draw(st.integers(min_value=1, max_value=max_edges))
     words = [t.word for t in gen_plane_trees(n)]
     shape = draw(st.sampled_from(words))
     perm = draw(st.permutations(list(range(1, n + 2))))
-    from tiptree import parse_tree
-
     return LabelledPlaneTree(
         parse_tree(shape), tuple(Label(v) for v in perm)
     )

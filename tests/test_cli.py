@@ -132,14 +132,14 @@ class TestPsiAndChen:
         assert "horizontal at 5*" in lines[0]
         assert "vertical at 6*" in lines[1]
 
-    def test_too_deep_exit_1(self, capsys):
-        # These 1,500 matches merge to the chain 1(2(3(...))), deeper than
-        # the merge's recursive helpers can follow.
+    def test_deep_chain_merges(self, capsys):
+        # These 1,500 matches merge to the chain 1(2(3(...(1500(1501))...))),
+        # deeper than Python's default recursion limit.
         matches = [f"{i}:{3001 - i}*" for i in range(1, 1500)] + ["1500:1501"]
         code, out, err = run(capsys, "merge", "--matches", ",".join(matches))
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ")
+        assert code == 0
+        assert out == "(".join(str(v) for v in range(1, 1502)) + ")" * 1500 + "\n"
+        assert err == ""
 
     def test_invalid_matches_exit_1(self, capsys):
         code, _, err = run(capsys, "merge", "--matches", "1:2,3:4,7*:6*")

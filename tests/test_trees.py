@@ -20,7 +20,6 @@ from tiptree import (
     serialize_tree,
     stats,
 )
-from tiptree.chen import _from_node, _to_node
 from tiptree.errors import (
     DuplicateLabelError,
     EmptyInputError,
@@ -140,10 +139,6 @@ class TestLabelled:
         for bad in ["", "1(", "1(2,)", "(2)", "1(2))", "x", "0"]:
             with pytest.raises((LabelSyntaxError, EmptyInputError)):
                 parse_labelled(bad)
-
-    def test_node_round_trip(self):
-        t = parse_labelled("1(2,3(4))")
-        assert _from_node(_to_node(t)) == t
 
 
 @st.composite
